@@ -24,6 +24,12 @@
 //! [`FaultRecord`] in [`Metrics::faults`](crate::Metrics::faults), the
 //! [`Trace`](crate::Trace), and the JSONL export.
 //!
+//! A plan is stored as one `Vec<FaultEvent>` in the canonical order of
+//! [`FaultPlan::events`]: deaths by channel, crashes by processor, then
+//! drops, corruptions and stalls by `(cycle, index)`. The per-cycle queries
+//! are binary searches that allocate nothing; a builder call inserts in
+//! place, `from_events` sorts and dedups, and `events` copies the list.
+//!
 //! # Recovery: the §2 lemma, applied to dead channels
 //!
 //! The paper's simulation lemma says an `MCB(p, k)` computation runs on an
@@ -56,7 +62,9 @@
 use crate::ids::{ChanId, ProcId};
 use mcb_json::Json;
 use mcb_rng::Rng64;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// The kind of an injected fault. See the [module docs](self) for the
 /// semantics table.
@@ -90,12 +98,10 @@ impl FaultKind {
 /// One *planned* fault atom, the unit the fault-space explorer enumerates,
 /// removes, and bisects.
 ///
-/// A [`FaultPlan`] decomposes losslessly into a canonical event list
-/// ([`FaultPlan::events`]) and rebuilds from one
-/// ([`FaultPlan::from_events`]); multi-cycle stalls decompose into one
-/// `Stall` event per blacked-out cycle, so shrinking a stall window is just
-/// removing events. The JSONL form ([`FaultPlan::to_jsonl`]) serializes
-/// this list.
+/// A [`FaultPlan`] is a canonical list of these ([`FaultPlan::events`],
+/// [`FaultPlan::from_events`]); a multi-cycle stall is one `Stall` event per
+/// blacked-out cycle, so shrinking a stall window is just removing events.
+/// The JSONL form ([`FaultPlan::to_jsonl`]) serializes the list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultEvent {
     /// Channel `chan` dies permanently at cycle `at`.
@@ -297,8 +303,9 @@ pub struct ChaosOpts {
     pub stalls: usize,
     /// Maximum length (cycles) of each stall event.
     pub max_stall: u64,
-    /// Processors to crash. Crashed processors lose their data, so leave
-    /// this at 0 for plans that must preserve algorithm output.
+    /// Processors to crash. A plain or resilient run loses a crashed
+    /// processor's result; under `mcb_algos::heal::SelfHealing` survivors
+    /// adopt its role and the output stays complete.
     pub crashes: usize,
     /// Correlated-burst storms: each burst picks a seeded start cycle in
     /// `[0, horizon)` and plants one transient per cycle for
@@ -339,14 +346,9 @@ impl ChaosOpts {
     pub fn unplanned(horizon: u64) -> Self {
         ChaosOpts {
             horizon,
-            deaths: 1,
-            drops: 2,
-            corrupts: 1,
             stalls: 0,
             max_stall: 0,
-            crashes: 0,
-            bursts: 0,
-            burst_len: 0,
+            ..ChaosOpts::default()
         }
     }
 
@@ -427,16 +429,42 @@ pub struct FaultPlan {
     seed: u64,
     p: usize,
     k: usize,
-    /// `deaths[c]` is the cycle at which channel `c` dies, if ever.
-    deaths: Vec<Option<u64>>,
-    /// `crashes[i]` is the cycle at (or after) which processor `i` crashes.
-    crashes: Vec<Option<u64>>,
-    /// Planned (cycle, channel) transmission drops.
-    drops: BTreeSet<(u64, usize)>,
-    /// Planned (cycle, channel) transmission corruptions.
-    corrupts: BTreeSet<(u64, usize)>,
-    /// Planned (cycle, processor) I/O blackouts.
-    stalls: BTreeSet<(u64, usize)>,
+    /// Every planned fault, sorted by [`key`]: the canonical order of
+    /// [`FaultPlan::events`] (see the [module docs](self)).
+    events: Vec<FaultEvent>,
+}
+
+/// An event's place in the canonical order: its segment (`DEATHS` to
+/// `STALLS`), then the party for a death or crash (so a second one for a
+/// party collides with the first), or `(cycle, party)` for a transient.
+/// Stalls too sort by cycle first, unlike `FaultEvent`'s derived `Ord`.
+fn key(e: FaultEvent) -> (u8, u64, u64) {
+    match e {
+        FaultEvent::Death { chan, .. } => (DEATHS, chan as u64, 0),
+        FaultEvent::Crash { proc, .. } => (CRASHES, proc as u64, 0),
+        FaultEvent::Drop { at, chan } => (DROPS, at, chan as u64),
+        FaultEvent::Corrupt { at, chan } => (CORRUPTS, at, chan as u64),
+        FaultEvent::Stall { proc, at } => (STALLS, at, proc as u64),
+    }
+}
+
+const DEATHS: u8 = 0;
+const CRASHES: u8 = 1;
+const DROPS: u8 = 2;
+const CORRUPTS: u8 = 3;
+const STALLS: u8 = 4;
+
+/// `Err` when `e` names a channel `>= k` or a processor `>= p`.
+fn fits(e: FaultEvent, p: usize, k: usize) -> Result<(), String> {
+    let (party, bound, what) = match e {
+        FaultEvent::Death { chan, .. }
+        | FaultEvent::Drop { chan, .. }
+        | FaultEvent::Corrupt { chan, .. } => (chan, k, "channel"),
+        FaultEvent::Crash { proc, .. } | FaultEvent::Stall { proc, .. } => (proc, p, "processor"),
+    };
+    (party < bound)
+        .then_some(())
+        .ok_or_else(|| format!("{what} {party} out of range for (p={p}, k={k})"))
 }
 
 impl FaultPlan {
@@ -446,11 +474,7 @@ impl FaultPlan {
             seed: 0,
             p,
             k,
-            deaths: vec![None; k],
-            crashes: vec![None; p],
-            drops: BTreeSet::new(),
-            corrupts: BTreeSet::new(),
-            stalls: BTreeSet::new(),
+            events: Vec::new(),
         }
     }
 
@@ -460,22 +484,22 @@ impl FaultPlan {
     /// `(seed, p, k, opts)` always builds the same plan.
     pub fn random(seed: u64, p: usize, k: usize, opts: &ChaosOpts) -> Self {
         let mut rng = Rng64::seed_from_u64(seed);
-        let mut plan = FaultPlan::new(p, k);
-        plan.seed = seed;
+        let mut plan = FaultPlan::new(p, k).with_seed(seed);
         let horizon = opts.horizon.max(1);
 
         let mut chans: Vec<usize> = (0..k).collect();
         rng.shuffle(&mut chans);
         for &c in chans.iter().take(opts.deaths.min(k.saturating_sub(1))) {
-            plan.deaths[c] = Some(rng.random_range(0..horizon));
+            plan = plan.kill_channel(ChanId(c as u32), rng.random_range(0..horizon));
         }
+        // Each transient draws its cycle, then its channel.
         for _ in 0..opts.drops {
-            plan.drops
-                .insert((rng.random_range(0..horizon), rng.random_range(0..k)));
+            let at = rng.random_range(0..horizon);
+            plan = plan.drop_message(at, ChanId(rng.random_range(0..k) as u32));
         }
         for _ in 0..opts.corrupts {
-            plan.corrupts
-                .insert((rng.random_range(0..horizon), rng.random_range(0..k)));
+            let at = rng.random_range(0..horizon);
+            plan = plan.corrupt_message(at, ChanId(rng.random_range(0..k) as u32));
         }
         // Correlated bursts: one transient per cycle of each storm window,
         // on a seeded channel, drop or corrupt by a seeded coin. Windows
@@ -485,27 +509,23 @@ impl FaultPlan {
         // write slot.
         for _ in 0..opts.bursts {
             let start = rng.random_range(0..horizon);
-            for t in start..start + opts.burst_len.max(1) {
+            for at in start..start + opts.burst_len.max(1) {
                 let chan = rng.random_range(0..k);
-                if rng.random_range(0..2u64) == 0 {
-                    plan.drops.insert((t, chan));
-                } else {
-                    plan.corrupts.insert((t, chan));
-                }
+                plan.insert(match rng.random_range(0..2u64) {
+                    0 => FaultEvent::Drop { at, chan },
+                    _ => FaultEvent::Corrupt { at, chan },
+                });
             }
         }
         for _ in 0..opts.stalls {
             let at = rng.random_range(0..horizon);
             let len = 1 + rng.random_range(0..opts.max_stall.max(1));
-            let proc = rng.random_range(0..p);
-            for t in at..at + len {
-                plan.stalls.insert((t, proc));
-            }
+            plan = plan.stall_proc(ProcId(rng.random_range(0..p) as u32), at, len);
         }
         let mut procs: Vec<usize> = (0..p).collect();
         rng.shuffle(&mut procs);
         for &i in procs.iter().take(opts.crashes.min(p)) {
-            plan.crashes[i] = Some(rng.random_range(0..horizon));
+            plan = plan.crash_proc(ProcId(i as u32), rng.random_range(0..horizon));
         }
         plan.ensure_usable_slots();
         plan
@@ -521,88 +541,113 @@ impl FaultPlan {
     /// channel/processor first — so the thinned plan is still a pure
     /// function of `(seed, p, k, opts)`.
     fn ensure_usable_slots(&mut self) {
-        let cycles: BTreeSet<u64> = self
-            .drops
-            .iter()
-            .chain(self.corrupts.iter())
-            .map(|&(t, _)| t)
-            .collect();
+        let transients = self.segment(DROPS).iter().chain(self.segment(CORRUPTS));
+        let cycles: BTreeSet<u64> = transients.map(|e| e.at()).collect();
         for t in cycles {
             loop {
-                let live = self.live_at(t);
-                let usable = live
-                    .iter()
-                    .any(|&c| !self.drops.contains(&(t, c)) && !self.corrupts.contains(&(t, c)));
-                if usable || live.is_empty() {
+                if (0..self.k).any(|c| !self.is_dead(c, t) && self.transient(t, c).is_none()) {
                     break;
                 }
-                let victim = self
-                    .drops
-                    .range((t, 0)..=(t, usize::MAX))
-                    .next_back()
-                    .copied();
-                match victim {
-                    Some(v) => self.drops.remove(&v),
-                    None => {
-                        let v = self
-                            .corrupts
-                            .range((t, 0)..=(t, usize::MAX))
-                            .next_back()
-                            .copied()
-                            .expect("no usable slot implies a transient this cycle");
-                        self.corrupts.remove(&v)
-                    }
-                };
+                let last_at_t = |s| self.span((s, t, 0), (s, t, u64::MAX)).last();
+                let victim = last_at_t(DROPS).or_else(|| last_at_t(CORRUPTS));
+                self.events.remove(victim.expect("a transient blocks t"));
             }
         }
-        let stall_cycles: BTreeSet<u64> = self.stalls.iter().map(|&(t, _)| t).collect();
-        for t in stall_cycles {
-            while self.stalls.range((t, 0)..=(t, usize::MAX)).count() >= self.p {
-                let v = self
-                    .stalls
-                    .range((t, 0)..=(t, usize::MAX))
-                    .next_back()
-                    .copied()
-                    .expect("count >= p >= 1 implies an entry");
-                self.stalls.remove(&v);
+        // Keep the stalls of each cycle's `p - 1` lowest processors.
+        let (p, mut cycle, mut seen) = (self.p, None, 0);
+        self.events.retain(|e| match *e {
+            FaultEvent::Stall { at, .. } => {
+                seen = if cycle == Some(at) { seen + 1 } else { 1 };
+                cycle = Some(at);
+                seen < p
+            }
+            _ => true,
+        });
+    }
+
+    /// Add `e` in place, replacing a death or crash planned for its party.
+    fn insert(&mut self, e: FaultEvent) {
+        fits(e, self.p, self.k).unwrap_or_else(|msg| panic!("{msg}"));
+        match self.search(key(e)) {
+            Ok(i) => self.events[i] = e,
+            Err(i) => self.events.insert(i, e),
+        }
+    }
+
+    /// `Ok(index)` of the event keyed `k`, or `Err(index)` where it would go.
+    /// Written out: std's `binary_search_by_key` ran about five times slower
+    /// here, and the per-cycle queries run on every processor every cycle.
+    fn search(&self, k: (u8, u64, u64)) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.events.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match key(self.events[mid]).cmp(&k) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
             }
         }
+        Err(lo)
+    }
+
+    /// The planned event keyed like `probe` (for a death or crash, its party's).
+    fn find(&self, probe: FaultEvent) -> Option<FaultEvent> {
+        self.search(key(probe)).ok().map(|i| self.events[i])
+    }
+
+    /// Index range of the events keyed in `[lo, hi)`. No event has party
+    /// `u64::MAX`, so `hi = (segment, t, u64::MAX)` closes cycle `t`.
+    fn span(&self, lo: (u8, u64, u64), hi: (u8, u64, u64)) -> Range<usize> {
+        let first = |k| self.search(k).unwrap_or_else(|i| i);
+        first(lo)..first(hi)
+    }
+
+    /// The drop or corruption of the transmission on `chan` at cycle `at`.
+    fn transient(&self, at: u64, chan: usize) -> Option<FaultKind> {
+        let hit = |e| self.find(e).map(FaultEvent::kind);
+        hit(FaultEvent::Drop { at, chan }).or_else(|| hit(FaultEvent::Corrupt { at, chan }))
+    }
+
+    /// The events of one segment of the canonical order.
+    fn segment(&self, s: u8) -> &[FaultEvent] {
+        &self.events[self.span((s, 0, 0), (s + 1, 0, 0))]
     }
 
     /// Kill `chan` permanently from cycle `at` on.
     pub fn kill_channel(mut self, chan: ChanId, at: u64) -> Self {
-        assert!(chan.index() < self.k, "channel out of range");
-        self.deaths[chan.index()] = Some(at);
+        let chan = chan.index();
+        self.insert(FaultEvent::Death { chan, at });
         self
     }
 
     /// Drop the transmission (if any) on `chan` at cycle `at`.
     pub fn drop_message(mut self, at: u64, chan: ChanId) -> Self {
-        assert!(chan.index() < self.k, "channel out of range");
-        self.drops.insert((at, chan.index()));
+        let chan = chan.index();
+        self.insert(FaultEvent::Drop { at, chan });
         self
     }
 
     /// Corrupt the transmission (if any) on `chan` at cycle `at`; the
     /// receiver's CRC detects and discards it.
     pub fn corrupt_message(mut self, at: u64, chan: ChanId) -> Self {
-        assert!(chan.index() < self.k, "channel out of range");
-        self.corrupts.insert((at, chan.index()));
+        let chan = chan.index();
+        self.insert(FaultEvent::Corrupt { at, chan });
         self
     }
 
     /// Crash `proc` at the first cycle it executes at or after `at`.
     pub fn crash_proc(mut self, proc: ProcId, at: u64) -> Self {
-        assert!(proc.index() < self.p, "processor out of range");
-        self.crashes[proc.index()] = Some(at);
+        let proc = proc.index();
+        self.insert(FaultEvent::Crash { proc, at });
         self
     }
 
     /// Suppress `proc`'s I/O for `len` cycles starting at cycle `from`.
     pub fn stall_proc(mut self, proc: ProcId, from: u64, len: u64) -> Self {
-        assert!(proc.index() < self.p, "processor out of range");
-        for t in from..from + len {
-            self.stalls.insert((t, proc.index()));
+        let proc = proc.index();
+        assert!(proc < self.p, "processor out of range");
+        for at in from..from + len {
+            self.insert(FaultEvent::Stall { proc, at });
         }
         self
     }
@@ -624,11 +669,8 @@ impl FaultPlan {
 
     /// True when channel `chan` is dead at `cycle`.
     pub fn is_dead(&self, chan: usize, cycle: u64) -> bool {
-        self.deaths
-            .get(chan)
-            .copied()
-            .flatten()
-            .is_some_and(|d| cycle >= d)
+        let death = self.find(FaultEvent::Death { chan, at: 0 });
+        death.is_some_and(|d| cycle >= d.at())
     }
 
     /// Indices of the channels still alive at `cycle`, ascending.
@@ -640,17 +682,18 @@ impl FaultPlan {
     /// fired). Lower-bounds `live_at(t).len()` for every `t`, so
     /// `⌈k / min_live⌉` is the lemma's worst-case dilation factor.
     pub fn min_live(&self) -> usize {
-        self.k - self.deaths.iter().filter(|d| d.is_some()).count()
+        self.k - self.segment(DEATHS).len()
     }
 
     /// The cycle at (or after) which `proc` crashes, if planned.
     pub fn crash_cycle(&self, proc: usize) -> Option<u64> {
-        self.crashes.get(proc).copied().flatten()
+        self.find(FaultEvent::Crash { proc, at: 0 })
+            .map(FaultEvent::at)
     }
 
     /// True when `proc`'s I/O is blacked out at `cycle`.
     pub fn is_stalled(&self, proc: usize, cycle: u64) -> bool {
-        self.stalls.contains(&(cycle, proc))
+        self.find(FaultEvent::Stall { proc, at: cycle }).is_some()
     }
 
     /// The fault (if any) that suppresses a write by `proc` on `chan` at
@@ -662,12 +705,8 @@ impl FaultPlan {
             Some(FaultKind::Stall)
         } else if self.is_dead(chan, cycle) {
             Some(FaultKind::ChannelDeath)
-        } else if self.drops.contains(&(cycle, chan)) {
-            Some(FaultKind::Drop)
-        } else if self.corrupts.contains(&(cycle, chan)) {
-            Some(FaultKind::Corrupt)
         } else {
-            None
+            self.transient(cycle, chan)
         }
     }
 
@@ -680,24 +719,23 @@ impl FaultPlan {
     /// computes the same answer — the basis of the synchronized retransmit
     /// protocol (see the [module docs](self)).
     pub fn notice(&self, from: u64, to: u64) -> bool {
-        if self.drops.range((from, 0)..(to, 0)).next().is_some()
-            || self.corrupts.range((from, 0)..(to, 0)).next().is_some()
-            || self.stalls.range((from, 0)..(to, 0)).next().is_some()
-        {
-            return true;
-        }
-        self.deaths.iter().flatten().any(|&d| from < d && d < to)
+        (DROPS..=STALLS).any(|s| !self.span((s, from, 0), (s, to, 0)).is_empty())
+            || self
+                .segment(DEATHS)
+                .iter()
+                .any(|d| from < d.at() && d.at() < to)
     }
 
     /// Counts of planned faults plus the seed, for the JSONL export.
     pub fn summary(&self) -> FaultSummary {
+        let count = |s| self.segment(s).len() as u64;
         FaultSummary {
             seed: self.seed,
-            deaths: self.deaths.iter().filter(|d| d.is_some()).count() as u64,
-            drops: self.drops.len() as u64,
-            corrupts: self.corrupts.len() as u64,
-            crashes: self.crashes.iter().filter(|c| c.is_some()).count() as u64,
-            stalls: self.stalls.len() as u64,
+            deaths: count(DEATHS),
+            drops: count(DROPS),
+            corrupts: count(CORRUPTS),
+            crashes: count(CRASHES),
+            stalls: count(STALLS),
         }
     }
 
@@ -706,11 +744,10 @@ impl FaultPlan {
     /// bounds both total retries and the `retries` option needed to make a
     /// plan survivable.
     pub fn fault_cycles(&self) -> usize {
-        let mut cycles: BTreeSet<u64> = BTreeSet::new();
-        cycles.extend(self.drops.iter().map(|&(t, _)| t));
-        cycles.extend(self.corrupts.iter().map(|&(t, _)| t));
-        cycles.extend(self.stalls.iter().map(|&(t, _)| t));
-        cycles.extend(self.deaths.iter().flatten());
+        let cycles: BTreeSet<u64> = (self.events.iter())
+            .filter(|e| e.kind() != FaultKind::Crash)
+            .map(|e| e.at())
+            .collect();
         cycles.len()
     }
 
@@ -727,33 +764,7 @@ impl FaultPlan {
     /// `FaultPlan::from_events(p, k, &plan.events())` rebuilds the plan
     /// exactly (up to the seed tag).
     pub fn events(&self) -> Vec<FaultEvent> {
-        let mut ev = Vec::new();
-        for (chan, d) in self.deaths.iter().enumerate() {
-            if let Some(at) = *d {
-                ev.push(FaultEvent::Death { chan, at });
-            }
-        }
-        for (proc, c) in self.crashes.iter().enumerate() {
-            if let Some(at) = *c {
-                ev.push(FaultEvent::Crash { proc, at });
-            }
-        }
-        ev.extend(
-            self.drops
-                .iter()
-                .map(|&(at, chan)| FaultEvent::Drop { at, chan }),
-        );
-        ev.extend(
-            self.corrupts
-                .iter()
-                .map(|&(at, chan)| FaultEvent::Corrupt { at, chan }),
-        );
-        ev.extend(
-            self.stalls
-                .iter()
-                .map(|&(at, proc)| FaultEvent::Stall { proc, at }),
-        );
-        ev
+        self.events.clone()
     }
 
     /// Build a plan for an `MCB(p, k)` network from an explicit event list.
@@ -769,14 +780,13 @@ impl FaultPlan {
     pub fn from_events(p: usize, k: usize, events: &[FaultEvent]) -> Self {
         let mut plan = FaultPlan::new(p, k);
         for &e in events {
-            plan = match e {
-                FaultEvent::Death { chan, at } => plan.kill_channel(ChanId(chan as u32), at),
-                FaultEvent::Crash { proc, at } => plan.crash_proc(ProcId(proc as u32), at),
-                FaultEvent::Drop { at, chan } => plan.drop_message(at, ChanId(chan as u32)),
-                FaultEvent::Corrupt { at, chan } => plan.corrupt_message(at, ChanId(chan as u32)),
-                FaultEvent::Stall { proc, at } => plan.stall_proc(ProcId(proc as u32), at, 1),
-            };
+            fits(e, p, k).unwrap_or_else(|msg| panic!("{msg}"));
         }
+        // Reversed, the stable sort puts a party's last death or crash
+        // first among its equal keys, and `dedup` keeps the first.
+        plan.events = events.iter().rev().copied().collect();
+        plan.events.sort_by_key(|&e| key(e));
+        plan.events.dedup_by_key(|e| key(*e));
         plan
     }
 
@@ -821,17 +831,7 @@ impl FaultPlan {
         let mut events = Vec::with_capacity(raw.len());
         for e in raw {
             let e = FaultEvent::from_json(e)?;
-            let (party, bound, what) = match e {
-                FaultEvent::Death { chan, .. }
-                | FaultEvent::Drop { chan, .. }
-                | FaultEvent::Corrupt { chan, .. } => (chan, k, "channel"),
-                FaultEvent::Crash { proc, .. } | FaultEvent::Stall { proc, .. } => {
-                    (proc, p, "processor")
-                }
-            };
-            if party >= bound {
-                return Err(format!("{what} {party} out of range for (p={p}, k={k})"));
-            }
+            fits(e, p, k)?;
             events.push(e);
         }
         Ok(FaultPlan::from_events(p, k, &events).with_seed(seed))
@@ -1026,10 +1026,10 @@ mod tests {
             // windows of length `burst_len`: the distinct cycles cluster
             // into at most `bursts` runs no longer than the window.
             let mut cycles: Vec<u64> = plan
-                .drops
-                .iter()
-                .chain(plan.corrupts.iter())
-                .map(|&(t, _)| t)
+                .events()
+                .into_iter()
+                .filter(|e| matches!(e.kind(), FaultKind::Drop | FaultKind::Corrupt))
+                .map(FaultEvent::at)
                 .collect();
             cycles.sort_unstable();
             cycles.dedup();

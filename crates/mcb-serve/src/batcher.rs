@@ -64,8 +64,11 @@ pub struct ServeConfig {
     pub backoff_cap_ms: u64,
     /// Channels per batch instance.
     pub k: usize,
-    /// Execution backend for batch runs ([`Backend::Vector`] by default —
-    /// the struct-of-arrays engine sized for wide batches).
+    /// Execution backend for batch runs ([`Backend::Vector`] by default).
+    /// Batch runs are closure protocols, which
+    /// [`Network::run`](mcb_net::Network::run) hands to the pooled fiber
+    /// driver under `Vector` and `Pooled` alike; only `StepProtocol`
+    /// machines reach the vector backend's struct-of-arrays columns.
     pub backend: Backend,
     /// Livelock watchdog for batch runs (cycles; see
     /// [`SelfHealing::stall_window`]).
