@@ -1,11 +1,9 @@
 //! Self-healing drivers: the §5/§8 algorithms with **no fault oracle**.
 //!
-//! [`Resilient`](crate::resilient::Resilient) survives faults it is *told
-//! about* ([`FaultPlan::notice`](mcb_net::FaultPlan::notice) is an oracle
-//! every processor consults). This module removes the oracle: protocols
-//! are restructured so faults are *detected from the wire* and survived by
-//! reconfiguration, including processor crashes — which resilient mode
-//! cannot recover at all (a crashed processor leaves a `None` hole there).
+//! No processor consults the [`FaultPlan`]: protocols are restructured so
+//! faults are *detected from the wire* and survived by reconfiguration,
+//! including processor crashes (survivors adopt the crashed processor's
+//! roles, so the output has no `None` hole).
 //!
 //! # The all-read discipline
 //!
@@ -663,10 +661,9 @@ pub fn heal_schedule<K: Key, P: HealProgram<K>>(
 
 /// Builder for self-healing (no-oracle) runs of the paper's algorithms.
 ///
-/// Unlike [`Resilient`](crate::resilient::Resilient), the attached
-/// [`FaultPlan`] is **never consulted by the protocol** — it only drives
-/// the injection side. Detection is purely wire-level, which is why plans
-/// should avoid stalls (see
+/// The attached [`FaultPlan`] is **never consulted by the protocol** — it
+/// only drives the injection side. Detection is purely wire-level, which is
+/// why plans should avoid stalls (see
 /// [`ChaosOpts::unplanned`](mcb_net::ChaosOpts::unplanned)): a stalled
 /// processor misses a round everyone else observes and desynchronizes the
 /// common knowledge (surfacing as

@@ -31,7 +31,7 @@
 use crate::barrier::{Sense, SenseBarrier};
 use crate::epoch::EpochRecord;
 use crate::error::NetError;
-use crate::fault::{canonicalize, FaultKind, FaultPlan, FaultRecord, FaultSummary, ResilientOpts};
+use crate::fault::{canonicalize, FaultKind, FaultPlan, FaultRecord, FaultSummary};
 use crate::frame::{FrameRead, FRAME_HEADER_BITS};
 use crate::ids::{ChanId, ProcId};
 use crate::message::MsgWidth;
@@ -310,11 +310,6 @@ impl Network {
         self
     }
 
-    /// The attached fault plan, for the pooled driver's fiber contexts.
-    pub(crate) fn plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault_plan.clone()
-    }
-
     /// The attached monitor core, for the pooled driver's fiber contexts.
     pub(crate) fn monitor_core(&self) -> Option<Arc<MonitorCore>> {
         self.monitor.clone()
@@ -486,7 +481,6 @@ impl Network {
                         phase_name: String::new(),
                         events: Vec::new(),
                         prof_barrier: LogHistogram::new(),
-                        resilient: None,
                         inner: CtxInner::Lockstep {
                             shared,
                             sense: Sense::new(),
@@ -499,8 +493,8 @@ impl Network {
                         }
                         Err(payload) => {
                             if let Some(esc) = payload.downcast_ref::<Escalated>() {
-                                // Resilient retransmission gave up: the
-                                // carried error fails the run.
+                                // The epoch layer escalated: the carried
+                                // error fails the run.
                                 shared.fail(esc.0.clone());
                             } else if payload.downcast_ref::<Aborted>().is_none()
                                 && payload.downcast_ref::<Crashed>().is_none()
@@ -736,8 +730,8 @@ pub(crate) struct Aborted;
 pub(crate) struct Crashed;
 
 /// Unwind token carrying a [`NetError`] the processor wants to fail the
-/// whole run with (resilient retransmission gave up). Never observed by
-/// user code.
+/// whole run with (the epoch census gave up, or replicas diverged). Never
+/// observed by user code.
 pub(crate) struct Escalated(pub(crate) NetError);
 
 /// Best-effort text of a caught panic payload.
@@ -1257,10 +1251,6 @@ pub struct ProcCtx<'a, M> {
     /// Per-wait barrier samples (threaded backend, profiling on), merged
     /// into the run's aggregate at thread end.
     prof_barrier: LogHistogram,
-    /// When `Some`, [`cycle`](Self::cycle) transparently executes the §2
-    /// simulation-lemma degraded protocol (see
-    /// [`set_resilient`](Self::set_resilient)).
-    resilient: Option<ResilientOpts>,
     inner: CtxInner<'a, M>,
 }
 
@@ -1281,10 +1271,6 @@ enum CtxInner<'a, M> {
         /// the next rendezvous so the worker stamps it before applying the
         /// cycle.
         pending_phase: Option<String>,
-        /// The run's fault schedule, mirrored here so resilient mode can
-        /// compute live channels and retransmission notices without a
-        /// worker round-trip.
-        plan: Option<Arc<FaultPlan>>,
         /// The run's live-monitor core, mirrored here so the epoch layer
         /// can post reconfiguration events without a worker round-trip.
         monitor: Option<Arc<MonitorCore>>,
@@ -1298,7 +1284,6 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
         id: ProcId,
         p: usize,
         k: usize,
-        plan: Option<Arc<FaultPlan>>,
         monitor: Option<Arc<MonitorCore>>,
         port: crate::pooled::FiberPort<M>,
     ) -> Self {
@@ -1308,13 +1293,11 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
             phase_name: String::new(),
             events: Vec::new(),
             prof_barrier: LogHistogram::new(),
-            resilient: None,
             inner: CtxInner::Fiber {
                 p,
                 k,
                 now: 0,
                 pending_phase: None,
-                plan,
                 monitor,
                 port,
             },
@@ -1380,79 +1363,7 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
     /// optionally read one channel. Returns the message read, or `None`
     /// when no read was requested *or* the read channel was empty (the
     /// model's detectable-empty-channel semantics).
-    ///
-    /// In resilient mode (see [`set_resilient`](Self::set_resilient)) this
-    /// is a *logical* cycle: it expands to `⌈k/k'⌉` physical cycles on the
-    /// `k'` surviving channels, plus retransmission retries, per the §2
-    /// simulation lemma.
     pub fn cycle(&mut self, write: Option<(ChanId, M)>, read: Option<ChanId>) -> Option<M> {
-        if self.resilient.is_some() {
-            return self.resilient_cycle(write, read);
-        }
-        self.raw_cycle(write, read)
-    }
-
-    /// The run's fault schedule, if one is attached.
-    fn plan(&self) -> Option<&FaultPlan> {
-        match &self.inner {
-            CtxInner::Lockstep { shared, .. } => shared.plan.as_deref(),
-            CtxInner::Fiber { plan, .. } => plan.as_deref(),
-        }
-    }
-
-    /// The channels still alive at the current cycle, in ascending order.
-    /// All `k` channels when no fault plan is attached; the fault plan's
-    /// survivors otherwise. Because fault plans are static, every processor
-    /// computes the same answer at the same cycle — the basis for the
-    /// lemma-driven remap in resilient mode.
-    pub fn live_channels(&self) -> Vec<ChanId> {
-        let now = self.now();
-        match self.plan() {
-            Some(plan) => plan
-                .live_at(now)
-                .into_iter()
-                .map(ChanId::from_index)
-                .collect(),
-            None => (0..self.k()).map(ChanId::from_index).collect(),
-        }
-    }
-
-    /// Switch this processor's [`cycle`](Self::cycle) calls into (or out of)
-    /// resilient mode.
-    ///
-    /// In resilient mode each logical cycle is simulated on the channels
-    /// still alive under the run's [`FaultPlan`] via the paper's §2 lemma:
-    /// with `k'` of `k` channels surviving, the logical cycle expands to
-    /// `h = ⌈k/k'⌉` physical sub-cycles, sub-cycle `j` carrying logical
-    /// channels `c` with `c / k' == j` on physical channel `live[c % k']`.
-    /// The mapping is injective per sub-cycle, so a collision-free logical
-    /// schedule stays collision-free, and a logical writer and reader of
-    /// the same channel land in the same sub-cycle, so delivery is
-    /// preserved.
-    ///
-    /// Transient faults (drop / corrupt / stall) are handled by planned
-    /// notice: after each logical cycle every processor checks — from the
-    /// static plan, so all agree — whether any fault could have fired in
-    /// the window just executed, and if so the whole network retries the
-    /// logical cycle, up to [`ResilientOpts::retries`] times before the run
-    /// fails with [`NetError::Unrecoverable`]. This models synchronous
-    /// detection-by-silence: on a broadcast medium every station observes
-    /// the carrier, so a garbled or missing slot is common knowledge one
-    /// cycle later.
-    ///
-    /// Resilient mode assumes an SPMD lock-step protocol (all processors
-    /// issue their `n`-th logical cycle together), which holds for every
-    /// schedule in `mcb-algos`. It changes only *which physical cycles*
-    /// implement the logical schedule; with no fault plan attached (or no
-    /// faults fired) it executes one physical cycle per logical cycle and
-    /// is observably identical to normal mode.
-    pub fn set_resilient(&mut self, opts: Option<ResilientOpts>) {
-        self.resilient = opts;
-    }
-
-    /// One *physical* network cycle (see [`cycle`](Self::cycle), which
-    /// dispatches here directly outside resilient mode).
-    fn raw_cycle(&mut self, write: Option<(ChanId, M)>, read: Option<ChanId>) -> Option<M> {
         match &mut self.inner {
             CtxInner::Lockstep { shared, sense } => {
                 // ---- planned crash ---------------------------------------
@@ -1529,9 +1440,8 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
     ///
     /// Requires [`Network::framing`] for `Noise` to ever be observable
     /// (without it, corrupt faults empty the slot and read as silence).
-    /// `framed_cycle` never goes through resilient mode — self-healing
-    /// protocols own their channel remap via the epoch layer. With no
-    /// `read` requested the result is [`FrameRead::Silence`].
+    /// Self-healing protocols own their channel remap via the epoch layer.
+    /// With no `read` requested the result is [`FrameRead::Silence`].
     pub fn framed_cycle(
         &mut self,
         write: Option<(ChanId, M)>,
@@ -1539,7 +1449,7 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
     ) -> FrameRead<M> {
         match &mut self.inner {
             CtxInner::Lockstep { shared, sense } => {
-                // Planned crash: same placement as `raw_cycle`.
+                // Planned crash: same placement as `cycle`.
                 if let Some(plan) = &shared.plan {
                     let now = shared.round.load(Ordering::Relaxed);
                     if plan
@@ -1592,70 +1502,6 @@ impl<'a, M: Clone + Send + Sync + MsgWidth> ProcCtx<'a, M> {
                 None => std::panic::resume_unwind(Box::new(Aborted)),
             },
         }
-    }
-
-    /// One *logical* cycle under the §2 simulation lemma, with planned-
-    /// notice retransmission (see [`set_resilient`](Self::set_resilient)).
-    fn resilient_cycle(&mut self, write: Option<(ChanId, M)>, read: Option<ChanId>) -> Option<M> {
-        let k = self.k();
-        // Out-of-range logical channels must surface as BadChannel exactly
-        // as in normal mode, not be remapped into range.
-        if write.as_ref().is_some_and(|(c, _)| c.index() >= k)
-            || read.is_some_and(|c| c.index() >= k)
-        {
-            return self.raw_cycle(write, read);
-        }
-        let retries = self.resilient.map_or(0, |o| o.retries);
-        for _ in 0..=retries {
-            let start = self.now();
-            let live = self
-                .plan()
-                .map_or_else(|| (0..k).collect(), |plan| plan.live_at(start));
-            let kp = live.len();
-            if kp == 0 {
-                // Every channel is dead: no schedule can be simulated.
-                std::panic::resume_unwind(Box::new(Escalated(NetError::Unrecoverable {
-                    cycle: start,
-                    proc: self.id,
-                    attempts: retries,
-                })));
-            }
-            let h = k.div_ceil(kp);
-            // Sub-cycle j carries logical channels c with c / k' == j on
-            // physical channel live[c % k']: injective per sub-cycle (the
-            // c % k' values of one block are distinct), and a logical
-            // writer/reader pair of the same channel shares a sub-cycle.
-            let mut got = None;
-            for j in 0..h {
-                let sub = |c: ChanId| {
-                    (c.index() / kp == j).then(|| ChanId::from_index(live[c.index() % kp]))
-                };
-                let w = write
-                    .as_ref()
-                    .and_then(|(c, m)| sub(*c).map(|phys| (phys, m.clone())));
-                let r = read.and_then(sub);
-                let res = self.raw_cycle(w, r);
-                if r.is_some() {
-                    got = res;
-                }
-            }
-            // Planned notice: if any fault could have fired in the window
-            // just executed, every processor (computing from the same
-            // static plan) retries the logical cycle. The retry window
-            // starts past the fault cycle that spoiled this one, so each
-            // planned fault cycle spoils at most one window.
-            let noticed = self
-                .plan()
-                .is_some_and(|plan| plan.notice(start, self.now()));
-            if !noticed {
-                return got;
-            }
-        }
-        std::panic::resume_unwind(Box::new(Escalated(NetError::Unrecoverable {
-            cycle: self.now(),
-            proc: self.id,
-            attempts: retries,
-        })));
     }
 
     /// Label all subsequent cycles and messages of this processor with

@@ -95,16 +95,15 @@ pub enum NetError {
         /// Global cycle at which the watchdog gave up.
         cycle: u64,
     },
-    /// A resilient processor exhausted its retransmission budget without
-    /// completing a clean logical cycle (see
-    /// [`ProcCtx::set_resilient`](crate::ProcCtx::set_resilient)), or a
-    /// self-healing census found no usable channel or processor left.
+    /// A self-healing epoch census gave up: a sweep (and its retries)
+    /// proved no channel or no processor live, or the run hit its cap on
+    /// epoch bumps (see [`crate::epoch`]).
     ///
-    /// **Recovery:** raise the retry budget
-    /// ([`ResilientOpts::retries`](crate::ResilientOpts) /
-    /// [`EpochOpts::census_retries`](crate::EpochOpts)) past the plan's
-    /// fault-cycle count — or accept that the plan violates the §2 lemma's
-    /// precondition (at least one live channel) and cannot be survived.
+    /// **Recovery:** raise the census budget
+    /// ([`EpochOpts::census_retries`](crate::EpochOpts) /
+    /// [`EpochOpts::max_epochs`](crate::EpochOpts)) — or accept that the
+    /// plan violates the §2 lemma's precondition (at least one live
+    /// channel) and cannot be survived.
     Unrecoverable {
         /// Global cycle at which the processor gave up.
         cycle: u64,

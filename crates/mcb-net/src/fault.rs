@@ -1,4 +1,4 @@
-//! Deterministic fault injection and lemma-driven recovery.
+//! Deterministic fault injection.
 //!
 //! The engine is normally fail-fast: collisions, panics, and bad channels
 //! abort the run. This module adds the opposite capability — *keep going on
@@ -30,34 +30,20 @@
 //! are binary searches that allocate nothing; a builder call inserts in
 //! place, `from_events` sorts and dedups, and `events` copies the list.
 //!
-//! # Recovery: the §2 lemma, applied to dead channels
+//! # Recovery
 //!
-//! The paper's simulation lemma says an `MCB(p, k)` computation runs on an
-//! `MCB(p, k')` machine (`k' < k`) with `⌈k/k'⌉` cycle dilation by
-//! round-robin channel multiplexing. Dead channels leave exactly that
-//! machine behind, so a *resilient* logical cycle (enabled per-processor
-//! with [`ProcCtx::set_resilient`](crate::ProcCtx::set_resilient)) executes
-//! as `h = ⌈k/k'⌉` physical sub-cycles over the `k'` surviving channels:
-//! logical channel `c` is served in sub-cycle `c / k'` on physical channel
-//! `live[c % k']`. The mapping is injective per sub-cycle, so a
-//! collision-free schedule stays collision-free — `mcb-check`'s `degrade`
-//! module proves the same statement statically.
+//! The plan is an input to the *engine* only: it decides which
+//! transmissions are lost and which processors stop. No protocol reads it.
+//! Recovery is `mcb_algos::heal::SelfHealing`'s job, which detects every
+//! loss from the wire through [`framed_cycle`](crate::ProcCtx::framed_cycle)
+//! reads and reconfigures through the [`crate::epoch`] census: dead
+//! channels are remapped by the paper's §2 simulation lemma (an
+//! `MCB(p, k)` computation runs on the `k'` survivors with `⌈k/k'⌉` cycle
+//! dilation), and `mcb-check`'s `degrade` module proves the remapped
+//! schedules collision-free statically.
 //!
-//! # Retransmission: detection by silence, without desynchronizing
-//!
-//! Transient faults (drops, corruption, stalls, a death landing mid-window)
-//! are handled by retrying the whole logical cycle. In a synchronous
-//! broadcast network every station monitors the shared medium, so fault
-//! *detection* is common knowledge: the plan is static, and
-//! [`FaultPlan::notice`] is a pure function every processor evaluates
-//! identically — a carrier-level "that window was noisy" signal. All
-//! processors therefore retry (or not) in lock-step. After
-//! [`ResilientOpts::retries`] dirty windows the processor escalates
-//! [`NetError::Unrecoverable`](crate::NetError::Unrecoverable), which fails
-//! the run on both backends.
-//!
-//! Channels are memoryless (the sweep clears them every cycle), so retries
-//! can never observe stale messages from an earlier attempt.
+//! Channels are memoryless (the sweep clears them every cycle), so a
+//! replayed phase can never observe stale messages from an earlier attempt.
 
 use crate::ids::{ChanId, ProcId};
 use mcb_json::Json;
@@ -303,9 +289,9 @@ pub struct ChaosOpts {
     pub stalls: usize,
     /// Maximum length (cycles) of each stall event.
     pub max_stall: u64,
-    /// Processors to crash. A plain or resilient run loses a crashed
-    /// processor's result; under `mcb_algos::heal::SelfHealing` survivors
-    /// adopt its role and the output stays complete.
+    /// Processors to crash. A plain run loses a crashed processor's
+    /// result; under `mcb_algos::heal::SelfHealing` survivors adopt its
+    /// role and the output stays complete.
     pub crashes: usize,
     /// Correlated-burst storms: each burst picks a seeded start cycle in
     /// `[0, horizon)` and plants one transient per cycle for
@@ -365,8 +351,8 @@ impl ChaosOpts {
 
     /// Preset for **correlated-burst** weather: no uniform transients at
     /// all — every drop/corruption arrives inside one of two seeded storm
-    /// windows — plus one channel death. Stalls stay disabled so the shape
-    /// is usable by both the resilient and the no-oracle drivers.
+    /// windows — plus one channel death. Stalls stay disabled for the same
+    /// reason as [`ChaosOpts::unplanned`].
     pub fn bursty(horizon: u64) -> Self {
         ChaosOpts {
             drops: 0,
@@ -375,23 +361,6 @@ impl ChaosOpts {
             burst_len: 6,
             ..ChaosOpts::unplanned(horizon)
         }
-    }
-}
-
-/// Options for resilient (degraded-mode) execution; see
-/// [`ProcCtx::set_resilient`](crate::ProcCtx::set_resilient).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResilientOpts {
-    /// Dirty windows tolerated per logical cycle before the processor
-    /// escalates [`NetError::Unrecoverable`](crate::NetError::Unrecoverable).
-    /// Each planned fault cycle spoils at most one window, so any value
-    /// `>= 1 +` (planned fault entries) can never escalate.
-    pub retries: u32,
-}
-
-impl Default for ResilientOpts {
-    fn default() -> Self {
-        ResilientOpts { retries: 32 }
     }
 }
 
@@ -673,13 +642,8 @@ impl FaultPlan {
         death.is_some_and(|d| cycle >= d.at())
     }
 
-    /// Indices of the channels still alive at `cycle`, ascending.
-    pub fn live_at(&self, cycle: u64) -> Vec<usize> {
-        (0..self.k).filter(|&c| !self.is_dead(c, cycle)).collect()
-    }
-
     /// The eventual number of surviving channels (every planned death has
-    /// fired). Lower-bounds `live_at(t).len()` for every `t`, so
+    /// fired). Lower-bounds the live channels at every cycle, so
     /// `⌈k / min_live⌉` is the lemma's worst-case dilation factor.
     pub fn min_live(&self) -> usize {
         self.k - self.segment(DEATHS).len()
@@ -710,22 +674,6 @@ impl FaultPlan {
         }
     }
 
-    /// Carrier-level fault detection for the window `[from, to)`: true when
-    /// any planned drop, corruption, or stall lands in the window, or a
-    /// channel death fires strictly inside it (a death at or before `from`
-    /// is already reflected in `live_at(from)` and needs no retry).
-    ///
-    /// Pure function of the plan, so every processor of a lock-step run
-    /// computes the same answer — the basis of the synchronized retransmit
-    /// protocol (see the [module docs](self)).
-    pub fn notice(&self, from: u64, to: u64) -> bool {
-        (DROPS..=STALLS).any(|s| !self.span((s, from, 0), (s, to, 0)).is_empty())
-            || self
-                .segment(DEATHS)
-                .iter()
-                .any(|d| from < d.at() && d.at() < to)
-    }
-
     /// Counts of planned faults plus the seed, for the JSONL export.
     pub fn summary(&self) -> FaultSummary {
         let count = |s| self.segment(s).len() as u64;
@@ -737,18 +685,6 @@ impl FaultPlan {
             crashes: count(CRASHES),
             stalls: count(STALLS),
         }
-    }
-
-    /// Number of distinct cycles at which any planned fault can fire; the
-    /// retransmit protocol retries at most once per such cycle, so this
-    /// bounds both total retries and the `retries` option needed to make a
-    /// plan survivable.
-    pub fn fault_cycles(&self) -> usize {
-        let cycles: BTreeSet<u64> = (self.events.iter())
-            .filter(|e| e.kind() != FaultKind::Crash)
-            .map(|e| e.at())
-            .collect();
-        cycles.len()
     }
 
     /// Tag the plan with a seed (kept through [`FaultPlan::to_jsonl`] so a
@@ -867,8 +803,7 @@ mod tests {
             .crash_proc(ProcId(3), 9);
         assert!(!plan.is_dead(2, 4));
         assert!(plan.is_dead(2, 5));
-        assert_eq!(plan.live_at(4), vec![0, 1, 2]);
-        assert_eq!(plan.live_at(5), vec![0, 1]);
+        assert!(!plan.is_dead(1, 1000));
         assert_eq!(plan.min_live(), 2);
         assert_eq!(plan.write_fault(0, 0, 3), Some(FaultKind::Drop));
         assert_eq!(plan.write_fault(0, 1, 4), Some(FaultKind::Corrupt));
@@ -883,22 +818,6 @@ mod tests {
             (s.deaths, s.drops, s.corrupts, s.crashes, s.stalls),
             (1, 1, 1, 1, 2)
         );
-        // Retry-relevant fault cycles: stalls at 2 and 3, drop at 3,
-        // corrupt at 4, death at 5 = {2, 3, 4, 5}. The crash at 9 is not
-        // counted: crashes are permanent and never retried.
-        assert_eq!(plan.fault_cycles(), 4);
-    }
-
-    #[test]
-    fn notice_windows() {
-        let plan = FaultPlan::new(2, 2)
-            .drop_message(5, ChanId(1))
-            .kill_channel(ChanId(0), 8);
-        assert!(!plan.notice(0, 5));
-        assert!(plan.notice(5, 6)); // drop inside
-        assert!(!plan.notice(6, 8));
-        assert!(plan.notice(6, 9)); // death strictly inside
-        assert!(!plan.notice(8, 10)); // death at window start: already degraded
     }
 
     #[test]
@@ -943,9 +862,8 @@ mod tests {
         for seed in 0..20 {
             let plan = FaultPlan::random(seed, 4, 2, &opts);
             for t in 0..opts.horizon {
-                let live = plan.live_at(t);
                 assert!(
-                    live.iter().any(|&c| plan.write_fault(0, c, t).is_none()),
+                    (0..plan.k()).any(|c| plan.write_fault(0, c, t).is_none()),
                     "seed {seed} cycle {t}: no usable write slot"
                 );
             }
@@ -1060,9 +978,8 @@ mod tests {
             // Dense storms on k = 2 with one death: thinning must still
             // leave a fault-free live channel every cycle.
             for t in 0..opts.horizon + opts.burst_len {
-                let live = plan.live_at(t);
                 assert!(
-                    live.iter().any(|&c| plan.write_fault(0, c, t).is_none()),
+                    (0..plan.k()).any(|c| plan.write_fault(0, c, t).is_none()),
                     "seed {seed} cycle {t}: storm left no usable write slot"
                 );
             }

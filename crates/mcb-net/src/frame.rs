@@ -1,9 +1,8 @@
 //! Self-checking broadcast frames: the detection substrate for unplanned
 //! faults.
 //!
-//! PR 4's resilient mode recovers from faults it is *told about*
-//! ([`FaultPlan::notice`](crate::FaultPlan::notice) is a pure oracle). To
-//! detect faults from the wire itself, every broadcast can carry a
+//! No protocol reads the [`FaultPlan`](crate::FaultPlan): faults must be
+//! detected from the wire itself. For that, every broadcast can carry a
 //! lightweight **frame header** — a sequence tag, the writer id, and a
 //! CRC-32 over header and payload — so that a reader can classify each
 //! (cycle, channel) observation into one of three [`FrameRead`] outcomes:

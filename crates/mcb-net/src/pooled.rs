@@ -141,8 +141,8 @@ enum FiberEvent<M> {
     Finished,
     /// The protocol panicked with this message.
     Panicked(String),
-    /// The protocol wants to fail the run with this error (resilient
-    /// retransmission gave up).
+    /// The protocol wants to fail the run with this error (the epoch
+    /// census gave up, or replicas diverged).
     Escalated(NetError),
 }
 
@@ -507,15 +507,13 @@ where
         ));
     }
 
-    let plan = net.plan();
     let monitor = net.monitor_core();
     std::thread::scope(|scope| {
         for (i, (port, events)) in ports.into_iter().enumerate() {
             let results = &results;
-            let plan = plan.clone();
             let monitor = monitor.clone();
             scope.spawn(move || {
-                let mut ctx = ProcCtx::fiber(ProcId::from_index(i), p, k, plan, monitor, port);
+                let mut ctx = ProcCtx::fiber(ProcId::from_index(i), p, k, monitor, port);
                 match catch_unwind(AssertUnwindSafe(|| protocol(&mut ctx))) {
                     Ok(r) => {
                         results.lock()[i] = Some(r);
@@ -523,8 +521,8 @@ where
                     }
                     Err(payload) => {
                         if let Some(esc) = payload.downcast_ref::<Escalated>() {
-                            // Resilient retransmission gave up: ship the
-                            // carried error to the driver.
+                            // The epoch layer escalated: ship the carried
+                            // error to the driver.
                             let _ = events.send(FiberEvent::Escalated(esc.0.clone()));
                         } else if payload.downcast_ref::<Aborted>().is_none() {
                             let _ =

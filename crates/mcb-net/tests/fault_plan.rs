@@ -133,10 +133,6 @@ impl Model {
         self.deaths.get(&chan).is_some_and(|&d| cycle >= d)
     }
 
-    fn live_at(&self, cycle: u64) -> Vec<usize> {
-        (0..self.k).filter(|&c| !self.is_dead(c, cycle)).collect()
-    }
-
     fn is_stalled(&self, proc: usize, cycle: u64) -> bool {
         self.stalls.contains(&(cycle, proc))
     }
@@ -155,14 +151,6 @@ impl Model {
         }
     }
 
-    fn notice(&self, from: u64, to: u64) -> bool {
-        let inside = |&(t, _): &(u64, usize)| from <= t && t < to;
-        self.drops.iter().any(inside)
-            || self.corrupts.iter().any(inside)
-            || self.stalls.iter().any(inside)
-            || self.deaths.values().any(|&d| from < d && d < to)
-    }
-
     fn summary(&self, seed: u64) -> FaultSummary {
         FaultSummary {
             seed,
@@ -172,14 +160,6 @@ impl Model {
             crashes: self.crashes.len() as u64,
             stalls: self.stalls.len() as u64,
         }
-    }
-
-    fn fault_cycles(&self) -> usize {
-        let mut cycles: BTreeSet<u64> = self.deaths.values().copied().collect();
-        for set in [&self.drops, &self.corrupts, &self.stalls] {
-            cycles.extend(set.iter().map(|&(t, _)| t));
-        }
-        cycles.len()
     }
 
     fn events(&self) -> Vec<FaultEvent> {
@@ -251,18 +231,12 @@ fn assert_matches(plan: &FaultPlan, model: &Model, ctx: &str) {
     assert_eq!(plan.events(), model.events(), "{ctx}: events");
     assert_eq!(plan.summary(), model.summary(plan.seed()), "{ctx}: summary");
     assert_eq!(
-        plan.fault_cycles(),
-        model.fault_cycles(),
-        "{ctx}: fault_cycles"
-    );
-    assert_eq!(
         plan.min_live(),
         model.k - model.deaths.len(),
         "{ctx}: min_live"
     );
     // One cycle past the last event, one party past the shape.
     for t in 0..12u64 {
-        assert_eq!(plan.live_at(t), model.live_at(t), "{ctx}: live_at({t})");
         for chan in 0..=model.k {
             assert_eq!(
                 plan.is_dead(chan, t),
@@ -279,13 +253,6 @@ fn assert_matches(plan: &FaultPlan, model: &Model, ctx: &str) {
                     "{ctx}: write_fault({proc}, {chan}, {t})"
                 );
             }
-        }
-        for to in t..12 {
-            assert_eq!(
-                plan.notice(t, to),
-                model.notice(t, to),
-                "{ctx}: notice({t}, {to})"
-            );
         }
     }
     for proc in 0..=model.p {

@@ -4,9 +4,9 @@
 //! "the computation fails"; the harness must report, never hang or
 //! corrupt.
 
+use mcb::algos::heal::SelfHealing;
 use mcb::net::{
-    Backend, ChanId, FaultKind, FaultPlan, NetError, Network, ProcCtx, ProcId, ResilientOpts,
-    VirtualNetwork,
+    Backend, ChanId, FaultKind, FaultPlan, NetError, Network, ProcCtx, ProcId, VirtualNetwork,
 };
 
 const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Pooled];
@@ -327,20 +327,19 @@ fn stalled_processor_misses_exactly_its_blackout() {
 
 #[test]
 fn exhausted_retransmissions_escalate_to_unrecoverable() {
-    // Resilient mode with a zero retry budget and a drop in the first
-    // window: the retransmit protocol must give up loudly, not loop.
-    for backend in BACKENDS {
-        let err = Network::new(2, 1)
+    // A self-healing sort with no epoch budget meets a dead channel in its
+    // first round: the census that would start the replay must give up
+    // loudly through the engine's escalation path, not loop. Every
+    // processor escalates in the same cycle and the run keeps the first
+    // failure to arrive, so only the budget is pinned.
+    let cols: Vec<Vec<Option<u64>>> = (0..2)
+        .map(|c| (0..6).map(|r| Some((c * 6 + r) as u64 * 37 % 11)).collect())
+        .collect();
+    for backend in [Backend::Threaded, Backend::Pooled, Backend::Vector] {
+        let err = SelfHealing::new(FaultPlan::new(2, 2).kill_channel(ChanId(0), 0))
             .backend(backend)
-            .fault_plan(FaultPlan::new(2, 1).drop_message(0, ChanId(0)))
-            .run(|ctx: &mut ProcCtx<'_, u64>| {
-                ctx.set_resilient(Some(ResilientOpts { retries: 0 }));
-                if ctx.id().index() == 0 {
-                    ctx.write(ChanId(0), 7);
-                } else {
-                    ctx.read(ChanId(0));
-                }
-            })
+            .max_epochs(0)
+            .sort_columns(6, cols.clone())
             .unwrap_err();
         assert!(
             matches!(err, NetError::Unrecoverable { attempts: 0, .. }),

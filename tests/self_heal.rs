@@ -1,17 +1,20 @@
 //! Self-healing chaos tests: the no-oracle drivers must survive random
 //! unplanned fault plans — channel deaths, dropped and corrupted frames,
-//! and processor crashes that nobody is told about — on both backends,
-//! with the *complete* fault-free output (crashed processors' results
-//! included, via takeover), physical cycles inside the healing cost
-//! contract, and the whole epoch history statically verified by
-//! `mcb-check`.
+//! correlated bursts of them, and processor crashes that nobody is told
+//! about — on all three backends, with the *complete* fault-free output
+//! (crashed processors' results included, via takeover), physical cycles
+//! inside the healing cost contract, outputs, metrics and epoch logs
+//! identical across backends, and the whole epoch history statically
+//! verified by `mcb-check`.
 //!
 //! Stalls are excluded from the plans ([`ChaosOpts::unplanned`] pins
 //! `stalls = 0`): a stalled processor misses a round every other live
 //! processor observes, which splits the common knowledge the all-read
 //! discipline relies on — the model surfaces that as
-//! [`EpochDiverged`](mcb::net::NetError::EpochDiverged), and the last
-//! test in this file proves that escalation is reachable.
+//! [`EpochDiverged`](mcb::net::NetError::EpochDiverged), and
+//! `epoch_divergence_is_detected_and_fatal` proves that escalation is
+//! reachable. The stall gap itself is pinned in `mcb-sim`'s `stall_gap`
+//! test.
 
 use mcb::algos::heal::{
     heal_schedule, run_program_in, run_program_offline, ColumnsortProgram, SelectProgram,
@@ -25,7 +28,7 @@ use mcb::net::{
 };
 use mcb_rng::Rng64;
 
-const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::Pooled];
+const BACKENDS: [Backend; 3] = [Backend::Threaded, Backend::Pooled, Backend::Vector];
 
 fn cols(m: usize, k: usize, salt: u64) -> Vec<Vec<Option<u64>>> {
     (0..k)
@@ -64,6 +67,32 @@ fn assert_complete_sorted(out: &mcb::algos::heal::HealedSort<u64>, want: &[u64],
     );
 }
 
+/// Heal one sort under `plan` on every backend: the output must be
+/// complete and correct on each, and outputs, metrics, epoch logs and
+/// fault summaries identical across them.
+fn heal_sort_on_all_backends(seed: u64, m: usize, k: usize, plan: &FaultPlan) {
+    let input = cols(m, k, seed);
+    let want = flat_sorted_desc(&input);
+    let ctx = format!("seed {seed:#x} m={m} k={k} repro plan: {}", plan.to_jsonl());
+    let mut per_backend = Vec::new();
+    for backend in BACKENDS {
+        let tag = format!("{ctx} {backend:?}");
+        let out = SelfHealing::new(plan.clone())
+            .backend(backend)
+            .sort_columns(m, input.clone())
+            .unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert_complete_sorted(&out, &want, &tag);
+        per_backend.push(out);
+    }
+    let a = &per_backend[0];
+    for b in &per_backend[1..] {
+        assert_eq!(a.columns, b.columns, "{ctx}: outputs differ");
+        assert_eq!(a.metrics, b.metrics, "{ctx}: metrics differ");
+        assert_eq!(a.epochs, b.epochs, "{ctx}: epoch logs differ");
+        assert_eq!(a.fault_summary, b.fault_summary, "{ctx}: summaries differ");
+    }
+}
+
 #[test]
 fn columnsort_heals_under_random_unplanned_faults() {
     let shapes = [(6usize, 2usize), (6, 3), (12, 4)];
@@ -73,49 +102,61 @@ fn columnsort_heals_under_random_unplanned_faults() {
         let opts = ChaosOpts::unplanned(horizon);
         for _ in 0..3 {
             let seed = rng.next_u64();
-            let plan = FaultPlan::random(seed, k, k, &opts);
-            let input = cols(m, k, seed);
-            let want = flat_sorted_desc(&input);
-
-            let mut per_backend = Vec::new();
-            for backend in BACKENDS {
-                let tag = format!(
-                    "seed {seed:#x} m={m} k={k} {backend:?} repro plan: {}",
-                    plan.to_jsonl()
-                );
-                let out = SelfHealing::new(plan.clone())
-                    .backend(backend)
-                    .sort_columns(m, input.clone())
-                    .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                assert_complete_sorted(&out, &want, &tag);
-                per_backend.push(out);
-            }
-            let (a, b) = (&per_backend[0], &per_backend[1]);
-            assert_eq!(
-                a.columns,
-                b.columns,
-                "seed {seed:#x}: outputs differ: {}",
-                plan.to_jsonl()
-            );
-            assert_eq!(
-                a.metrics,
-                b.metrics,
-                "seed {seed:#x}: metrics differ: {}",
-                plan.to_jsonl()
-            );
-            assert_eq!(
-                a.epochs,
-                b.epochs,
-                "seed {seed:#x}: epoch logs differ: {}",
-                plan.to_jsonl()
-            );
-            assert_eq!(
-                a.fault_summary,
-                b.fault_summary,
-                "seed {seed:#x}: summaries differ: {}",
-                plan.to_jsonl()
-            );
+            heal_sort_on_all_backends(seed, m, k, &FaultPlan::random(seed, k, k, &opts));
         }
+    }
+}
+
+#[test]
+fn columnsort_heals_default_chaos_plans() {
+    // The default chaos density (one death, two drops, one corruption
+    // over 256 cycles) with stalls off, on its own seed stream, up to
+    // the (20, 5) shape. (m, k) satisfies the §5 shape: m >= k(k-1), k | m.
+    let shapes = [(6usize, 2usize), (6, 3), (12, 4), (20, 5)];
+    let opts = ChaosOpts::unplanned(256);
+    let mut rng = Rng64::seed_from_u64(0xc4a05);
+    for (m, k) in shapes {
+        for _ in 0..3 {
+            let seed = rng.next_u64();
+            let plan = FaultPlan::random(seed, k, k, &opts);
+            assert!(plan.min_live() >= 1, "random plans must leave a survivor");
+            heal_sort_on_all_backends(seed, m, k, &plan);
+        }
+    }
+}
+
+#[test]
+fn columnsort_heals_correlated_bursts() {
+    // The bursty preset concentrates every transient into seeded storm
+    // windows: whole runs of adjacent cycles are spoiled at once, plus a
+    // channel death.
+    let (m, k) = (12usize, 4usize);
+    let opts = ChaosOpts::bursty(64);
+    let mut rng = Rng64::seed_from_u64(0xb5257);
+    for _ in 0..4 {
+        let seed = rng.next_u64();
+        let plan = FaultPlan::random(seed, k, k, &opts);
+        let s = plan.summary();
+        assert!(
+            s.drops + s.corrupts > 0,
+            "seed {seed:#x}: storms planted nothing"
+        );
+        heal_sort_on_all_backends(seed, m, k, &plan);
+    }
+}
+
+#[test]
+fn columnsort_heals_heavy_transients() {
+    // Transient density well past the preset: every drop or corruption
+    // the run meets costs a census and a phase replay.
+    let opts = ChaosOpts {
+        drops: 6,
+        corrupts: 4,
+        ..ChaosOpts::unplanned(256)
+    };
+    let (m, k) = (12usize, 4usize);
+    for seed in [1u64, 2, 3] {
+        heal_sort_on_all_backends(seed, m, k, &FaultPlan::random(seed, k, k, &opts));
     }
 }
 
@@ -168,6 +209,44 @@ fn crash_in_the_very_first_cycle_is_taken_over() {
     }
 }
 
+/// Heal one rank selection under `plan` on every backend: the value must
+/// be the fault-free rank-`d` element on each, inside the healing bound,
+/// and value, metrics and epoch logs identical across backends.
+fn heal_select_on_all_backends(seed: u64, p: usize, k: usize, plan: &FaultPlan) {
+    let lists: Vec<Vec<u64>> = (0..p)
+        .map(|i| {
+            (0..4 + i)
+                .map(|j| ((i * 31 + j) as u64 + seed % 97).wrapping_mul(2654435761) % 509)
+                .collect()
+        })
+        .collect();
+    let mut all: Vec<u64> = lists.iter().flatten().copied().collect();
+    all.sort_unstable_by(|a, b| b.cmp(a));
+    let d = 1 + (seed as usize) % all.len();
+    let want = all[d - 1];
+    let ctx = format!("seed {seed:#x} p={p} k={k} repro plan: {}", plan.to_jsonl());
+
+    let mut per_backend = Vec::new();
+    for backend in BACKENDS {
+        let tag = format!("{ctx} {backend:?}");
+        let out = SelfHealing::new(plan.clone())
+            .backend(backend)
+            .select_rank(k, lists.clone(), d)
+            .unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert_eq!(out.value, want, "{tag}: wrong rank-{d} element");
+        assert!(
+            out.metrics.cycles <= out.cycle_bound,
+            "{tag}: {} cycles exceed the healing bound {}",
+            out.metrics.cycles,
+            out.cycle_bound
+        );
+        per_backend.push((out.value, out.metrics, out.epochs));
+    }
+    for other in &per_backend[1..] {
+        assert_eq!(&per_backend[0], other, "{ctx}: backends diverge");
+    }
+}
+
 #[test]
 fn selection_heals_under_random_unplanned_faults() {
     let shapes = [(4usize, 2usize), (6, 3)];
@@ -176,44 +255,22 @@ fn selection_heals_under_random_unplanned_faults() {
         let opts = ChaosOpts::unplanned(64);
         for _ in 0..3 {
             let seed = rng.next_u64();
-            let plan = FaultPlan::random(seed, p, k, &opts);
-            let lists: Vec<Vec<u64>> = (0..p)
-                .map(|i| {
-                    (0..4 + i)
-                        .map(|j| ((i * 31 + j) as u64 + seed % 97).wrapping_mul(2654435761) % 509)
-                        .collect()
-                })
-                .collect();
-            let mut all: Vec<u64> = lists.iter().flatten().copied().collect();
-            all.sort_unstable_by(|a, b| b.cmp(a));
-            let d = 1 + (seed as usize) % all.len();
-            let want = all[d - 1];
+            heal_select_on_all_backends(seed, p, k, &FaultPlan::random(seed, p, k, &opts));
+        }
+    }
+}
 
-            let mut per_backend = Vec::new();
-            for backend in BACKENDS {
-                let tag = format!(
-                    "seed {seed:#x} p={p} k={k} {backend:?} repro plan: {}",
-                    plan.to_jsonl()
-                );
-                let out = SelfHealing::new(plan.clone())
-                    .backend(backend)
-                    .select_rank(k, lists.clone(), d)
-                    .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                assert_eq!(out.value, want, "{tag}: wrong rank-{d} element");
-                assert!(
-                    out.metrics.cycles <= out.cycle_bound,
-                    "{tag}: {} cycles exceed the healing bound {}",
-                    out.metrics.cycles,
-                    out.cycle_bound
-                );
-                per_backend.push((out.value, out.metrics, out.epochs));
-            }
-            assert_eq!(
-                per_backend[0],
-                per_backend[1],
-                "seed {seed:#x}: backends diverge: {}",
-                plan.to_jsonl()
-            );
+#[test]
+fn selection_heals_default_chaos_plans() {
+    // The default chaos density (one death, two drops, one corruption
+    // over 256 cycles) with stalls off, on its own seed stream.
+    let shapes = [(4usize, 2usize), (6, 3)];
+    let opts = ChaosOpts::unplanned(256);
+    let mut rng = Rng64::seed_from_u64(0x5e1ec7);
+    for (p, k) in shapes {
+        for _ in 0..3 {
+            let seed = rng.next_u64();
+            heal_select_on_all_backends(seed, p, k, &FaultPlan::random(seed, p, k, &opts));
         }
     }
 }
